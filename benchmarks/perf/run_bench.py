@@ -200,27 +200,18 @@ def bench_sweep(kind: str, jobs: int, quick: bool) -> dict:
     }
 
 
-def bench_single(quick: bool, profile: bool = False) -> dict:
+def bench_single(quick: bool) -> dict:
     """Time one large hierarchical run: the raw simulator hot path.
 
-    ``--profile`` attaches the opt-in section profiler from
-    ``repro.obs`` (build / simulate / measure wall-clock split).  The
-    aggregation numbers are identical either way; only ``seconds`` picks
-    up the instrumentation overhead, which is why profiling is opt-in.
+    Always unobserved, so ``single_n*`` history records stay comparable
+    with each other.
     """
     n = 1024 if quick else 4096
     config = with_params(n=n, seed=3)
-    telemetry = None
-    if profile:
-        from repro.obs.profiling import SectionProfiler
-        from repro.obs.telemetry import RunTelemetry
-
-        telemetry = RunTelemetry.compact()
-        telemetry.profiler = SectionProfiler()
     start = time.perf_counter()
-    result = run_once(config, telemetry=telemetry)
+    result = run_once(config)
     seconds = time.perf_counter() - start
-    entry = {
+    return {
         "workload": f"single_n{n}",
         "config": {"n": n, "seed": 3, "ucastl": 0.25, "pf": 0.001, "k": 4},
         "seconds": round(seconds, 3),
@@ -228,10 +219,6 @@ def bench_single(quick: bool, profile: bool = False) -> dict:
         "messages_sent": result.messages_sent,
         "incompleteness": result.incompleteness,
     }
-    if telemetry is not None and telemetry.profiler is not None:
-        entry["profile"] = telemetry.profiler.as_records()
-        print(telemetry.profiler.report(), flush=True)
-    return entry
 
 
 def bench_large(quick: bool) -> dict:
@@ -260,76 +247,6 @@ def bench_large(quick: bool) -> dict:
         "incompleteness": max(r.incompleteness for r in results),
         "checksum": _checksum(results),
     }
-
-
-#: The registry guard's overhead budget: registry-enabled n8192 must
-#: finish within this factor of the back-to-back disabled run (plus a
-#: small absolute grace so sub-second timer noise cannot flake CI).
-REGISTRY_GUARD_FACTOR = 1.03
-REGISTRY_GUARD_GRACE_SECONDS = 0.5
-
-
-def registry_guard() -> int:
-    """Back-to-back n8192 with and without a metrics registry.
-
-    Two invariants, both ISSUE-pinned: the registry-enabled run is
-    bit-identical to the disabled one (the metrics-only telemetry
-    shape never touches simulation state), and it stays within 3% of
-    the disabled wall-clock (same process, same machine, so the
-    comparison is fair where a committed-baseline comparison across
-    CI hosts would not be).
-    """
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.telemetry import RunTelemetry
-
-    configs = [with_params(n=8192, k=8, seed=0).with_seed(offset)
-               for offset in range(2)]
-    registry = MetricsRegistry()
-
-    def leg(telemetry_factory):
-        start = time.perf_counter()
-        results = [
-            run_once(config, telemetry=telemetry_factory())
-            for config in configs
-        ]
-        return time.perf_counter() - start, results
-
-    # Alternate the legs and keep each one's best of two: host noise
-    # (CI neighbours, thermal throttling) dwarfs a 3% budget on a
-    # single back-to-back pair.
-    plain_seconds, plain = leg(lambda: None)
-    metered_seconds, metered = leg(
-        lambda: RunTelemetry.metrics_only(registry)
-    )
-    plain_seconds = min(plain_seconds, leg(lambda: None)[0])
-    metered_seconds = min(
-        metered_seconds,
-        leg(lambda: RunTelemetry.metrics_only(registry))[0],
-    )
-
-    plain_sum, metered_sum = _checksum(plain), _checksum(metered)
-    print(f"[bench] registry guard: disabled {plain_seconds:.3f}s, "
-          f"enabled {metered_seconds:.3f}s, checksums "
-          f"{plain_sum} / {metered_sum}", flush=True)
-    if plain_sum != metered_sum:
-        print("[bench] REGISTRY GUARD FAILED: registry-enabled results "
-              f"diverged ({metered_sum} != {plain_sum})", flush=True)
-        return 1
-    budget = (plain_seconds * REGISTRY_GUARD_FACTOR
-              + REGISTRY_GUARD_GRACE_SECONDS)
-    if metered_seconds > budget:
-        print(f"[bench] REGISTRY GUARD FAILED: {metered_seconds:.3f}s "
-              f"exceeds the {budget:.3f}s budget "
-              f"({REGISTRY_GUARD_FACTOR:.0%} of the disabled run "
-              f"+ {REGISTRY_GUARD_GRACE_SECONDS}s grace)", flush=True)
-        return 1
-    if not registry.families():
-        print("[bench] REGISTRY GUARD FAILED: registry stayed empty — "
-              "the runs never fed it", flush=True)
-        return 1
-    print("[bench] registry guard ok: bit-identical, within budget, "
-          f"{len(registry.families())} metric families fed", flush=True)
-    return 0
 
 
 #: Rounds executed by the n65536 workload.  The run is deliberately
@@ -456,25 +373,12 @@ def main(argv=None) -> int:
              "latest comparable history record (use on stable hardware)",
     )
     parser.add_argument(
-        "--profile", action="store_true",
-        help="attach the repro.obs section profiler to the single large "
-             "run and print its build/simulate/measure wall-clock split",
-    )
-    parser.add_argument(
         "--n1m", action="store_true",
         help="also run the million-member memory-layout smoke (builds a "
              "10^6-member world on the array engine and steps a few "
              "rounds; records peak RSS)",
     )
-    parser.add_argument(
-        "--registry-guard", action="store_true",
-        help="only run the metrics-registry overhead guard (n8192 with "
-             "vs without a registry: bit-identical and within 3%) and "
-             "exit — no BENCH_core.json update",
-    )
     args = parser.parse_args(argv)
-    if args.registry_guard:
-        return registry_guard()
     # The harness default is one worker per core ("auto"), not the library
     # default of serial — a benchmark run wants the machine saturated.
     jobs = resolve_jobs(args.jobs if args.jobs is not None else "auto")
@@ -489,7 +393,7 @@ def main(argv=None) -> int:
               f"bit-identical ok", flush=True)
         entries.append(entry)
     print("[bench] single large run ...", flush=True)
-    entry = bench_single(args.quick, profile=args.profile)
+    entry = bench_single(args.quick)
     print(f"[bench]   {entry['workload']}: {entry['seconds']}s "
           f"({entry['messages_sent']} messages)", flush=True)
     entries.append(entry)

@@ -67,10 +67,12 @@ class RunConfig:
     vote_high: float = 100.0
     seed: int = 0
     #: Attach compact run telemetry (``RunTelemetry.compact()``): phase /
-    #: bump-up / timeout counters collected during the run and returned
-    #: on ``RunResult.telemetry`` as a picklable summary — the flag (not
-    #: an object) so it survives the ``ParallelRunner`` worker boundary.
-    #: Never changes results: telemetry draws no randomness.
+    #: bump-up / timeout counters collected during the run, plus the
+    #: engine's own send/delivery/crash totals, returned on
+    #: ``RunResult.telemetry`` as a picklable summary — the flag (not an
+    #: object) so it survives the ``ParallelRunner`` worker boundary.
+    #: Never changes results or the engine ``"auto"`` picks: compact
+    #: telemetry attaches no tracer, and draws no randomness.
     collect_telemetry: bool = False
     #: Round-engine selection: ``"auto"`` uses the array-stepped engine
     #: when the configuration supports it (bit-identical results, much

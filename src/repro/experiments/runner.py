@@ -11,7 +11,6 @@ the measurements the paper reports.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.baselines.centralized import build_centralized_group
@@ -341,7 +340,6 @@ def _campaign_horizon(config: RunConfig, max_rounds: int) -> int:
 def run_once(
     config: RunConfig,
     telemetry: RunTelemetry | None = None,
-    registry=None,
 ) -> RunResult:
     """Build the configured world, run it to completion, measure it.
 
@@ -355,19 +353,12 @@ def run_once(
     ``RunResult.telemetry``.  Either way the aggregation results are
     byte-identical to an untelemetered run (golden-tested).
 
-    ``registry`` feeds a :class:`~repro.obs.metrics.MetricsRegistry`
-    live (phase events) and at the end of the run (totals) without
-    touching the per-message hooks: passed alone it wraps the run in
-    :meth:`RunTelemetry.metrics_only`, so engine auto-selection and the
-    returned result are untouched — the registry is pure observation.
+    To feed a :class:`~repro.obs.metrics.MetricsRegistry`, fold the
+    finished run in with ``feed_run_record(registry,
+    run_result_record(result))``.
     """
     from repro import sanitize
 
-    if registry is not None:
-        if telemetry is None:
-            telemetry = RunTelemetry.metrics_only(registry)
-        else:
-            telemetry.registry = registry
     if telemetry is None and config.collect_telemetry:
         telemetry = RunTelemetry.compact()
     # The mask-union memo is identity-keyed, so a previous run's entries
@@ -413,36 +404,35 @@ def _run_built(
     telemetry: RunTelemetry | None = None,
 ) -> RunResult:
     true_value = function.finalize(function.over(votes))
-    with telemetry.profile("build") if telemetry is not None else nullcontext():
-        processes, max_rounds = _build_processes(
-            config, votes, rngs,
-            phase_sink=(telemetry.phase_sink() if telemetry is not None
-                        else None),
-        )
-        compiled = None
-        if config.campaign is not None:
-            from repro.chaos import get_campaign
+    processes, max_rounds = _build_processes(
+        config, votes, rngs,
+        phase_sink=(telemetry.phase_sink() if telemetry is not None
+                    else None),
+    )
+    compiled = None
+    if config.campaign is not None:
+        from repro.chaos import get_campaign
 
-            compiled = get_campaign(config.campaign).compile(
-                horizon=_campaign_horizon(config, max_rounds),
-                base_loss=config.ucastl,
-                base_pf=config.pf,
-                box_groups=_box_groups(config, votes, processes),
-                max_message_size=config.max_message_size,
-                max_sends_per_round=config.max_sends_per_round,
-            )
-            network = compiled.network
-            failure_model = compiled.failure_model
-        else:
-            network = _make_network(config)
-            failure_model = _make_failures(config)
-        engine = _make_engine(
-            config, telemetry, processes, network, failure_model,
-            rngs, max_rounds,
+        compiled = get_campaign(config.campaign).compile(
+            horizon=_campaign_horizon(config, max_rounds),
+            base_loss=config.ucastl,
+            base_pf=config.pf,
+            box_groups=_box_groups(config, votes, processes),
+            max_message_size=config.max_message_size,
+            max_sends_per_round=config.max_sends_per_round,
         )
-        engine.add_processes(processes)
-        if compiled is not None:
-            compiled.install(engine)
+        network = compiled.network
+        failure_model = compiled.failure_model
+    else:
+        network = _make_network(config)
+        failure_model = _make_failures(config)
+    engine = _make_engine(
+        config, telemetry, processes, network, failure_model,
+        rngs, max_rounds,
+    )
+    engine.add_processes(processes)
+    if compiled is not None:
+        compiled.install(engine)
     planner = compiled.planner if compiled is not None else None
     if planner is not None:
         # Arm the detection oracle: repro.sanitize screens every
@@ -452,41 +442,37 @@ def _run_built(
 
         sanitize.set_adversary(planner)
     try:
-        with telemetry.profile("simulate") if telemetry is not None \
-                else nullcontext():
-            engine.run()
+        engine.run()
     finally:
         if planner is not None:
             from repro import sanitize
 
             sanitize.clear_adversary()
-    with telemetry.profile("measure") if telemetry is not None else nullcontext():
-        report = measure_completeness(processes, group_size=config.n)
-        # Error is averaged over report.per_member's member set so the
-        # two survivor-relative metrics can never drift apart (see
-        # RunResult).
-        measured = report.per_member.keys()
-        errors = []
-        coverages = []
-        for process in processes:
-            if process.node_id not in measured:
-                continue
-            errors.append(
-                abs(process.function.finalize(process.result) - true_value)
-            )
-            coverage = getattr(process, "coverage_fraction", None)
-            if coverage is None:
-                coverage = process.result.covers() / config.n
-            coverages.append(coverage)
+    report = measure_completeness(processes, group_size=config.n)
+    # Error is averaged over report.per_member's member set so the
+    # two survivor-relative metrics can never drift apart (see
+    # RunResult).
+    measured = report.per_member.keys()
+    errors = []
+    coverages = []
+    for process in processes:
+        if process.node_id not in measured:
+            continue
+        errors.append(
+            abs(process.function.finalize(process.result) - true_value)
+        )
+        coverage = getattr(process, "coverage_fraction", None)
+        if coverage is None:
+            coverage = process.result.covers() / config.n
+        coverages.append(coverage)
     summary: TelemetrySummary | None = None
     if telemetry is not None:
         telemetry.finish(
             config=config,
-            rounds=engine.stats.rounds_executed,
+            engine=engine,
             assignment=getattr(processes[0], "assignment", None),
         )
-        if telemetry.attach_summary:
-            summary = telemetry.summary()
+        summary = telemetry.summary()
     result = RunResult(
         config=config,
         report=report,

@@ -82,7 +82,7 @@ _PLAN_CALLS = frozenset({"plan_delivery", "plan_delivery_block"})
 
 #: Registry feed points (repro.obs.metrics): an engine path that
 #: reaches one must be matched by the other engine path (REP009).
-_METRIC_SITES = frozenset({"observe_phase_event", "observe_round"})
+_METRIC_SITES = frozenset({"observe_phase_event"})
 
 #: Containers whose subscript/iteration yields their element type.
 _SEQ_NAMES = frozenset({

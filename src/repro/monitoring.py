@@ -224,7 +224,7 @@ class MonitoringSession:
             rounds=engine.round,
             messages=engine.network.stats.sent,
             trigger_counts=trigger_counts,
-            phase_timeouts=sum(counts.phase_timeouts.values()),
+            phase_timeouts=counts.counts["bump_up_timeout"],
         )
         self.history.append(result)
         self.members = [p.node_id for p in processes if p.alive]

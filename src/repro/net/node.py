@@ -40,7 +40,6 @@ from repro.core.hierarchical_gossip import (
     GossipParams,
     HierarchicalGossipProcess,
 )
-from repro.core.observe import PhaseSink
 from repro.net.bootstrap import Address, AddressBook
 from repro.net.codec import (
     CodecError,
@@ -53,11 +52,7 @@ from repro.net.codec import (
     encode,
 )
 from repro.net.liveness import LivenessView
-from repro.obs.metrics import (
-    MetricsPhaseSink,
-    MetricsRegistry,
-    TeePhaseSink,
-)
+from repro.obs.metrics import MetricsPhaseSink, MetricsRegistry
 from repro.sim.network import Message
 from repro.sim.rng import RngRegistry
 
@@ -293,7 +288,6 @@ class NetNode:
         config: NodeConfig,
         transport_send: Callable[[bytes, Address], None],
         seeds: tuple[Address, ...] = (),
-        phase_sink: PhaseSink | None = None,
         miss_threshold: int = 8,
         registry: MetricsRegistry | None = None,
     ):
@@ -305,12 +299,6 @@ class NetNode:
             _NodeMetrics(registry, config.node_id)
             if registry is not None else None
         )
-        if registry is not None:
-            # Phase events stream into the registry alongside whatever
-            # sink the caller installed (TeePhaseSink drops Nones).
-            phase_sink = TeePhaseSink(
-                phase_sink, MetricsPhaseSink(registry)
-            )
         self.book = AddressBook(config.group_size)
         self.liveness = LivenessView(
             config.node_id, config.group_size, miss_threshold=miss_threshold
@@ -332,7 +320,10 @@ class NetNode:
                 fanout_m=config.fanout_m,
                 rounds_factor_c=config.rounds_factor_c,
             ),
-            phase_sink=phase_sink,
+            phase_sink=(
+                MetricsPhaseSink(registry) if registry is not None
+                else None
+            ),
         )
         self.ctx = NetContext(self)
 

@@ -1,4 +1,4 @@
-"""Run observability: phase tracing, telemetry, exports, profiling.
+"""Run observability: phase tracing, telemetry, exports, live metrics.
 
 This package is a *pure consumer* of the simulation and protocol layers:
 ``repro/sim``, ``repro/core`` and ``repro/chaos`` never import it (CI
@@ -11,22 +11,21 @@ Layers, bottom-up:
 * :mod:`repro.obs.phase` — :class:`PhaseTrace`, the collector behind the
   protocol's ``phase_sink`` (events defined in :mod:`repro.core.observe`);
 * :mod:`repro.obs.telemetry` — :class:`RunTelemetry` (one handle over
-  Tracer + RoundMetrics + PhaseTrace + sanitizer outcome) and the
-  picklable :class:`TelemetrySummary` that crosses ``ParallelRunner``
-  worker boundaries;
+  Tracer + RoundMetrics + PhaseTrace + sanitizer outcome, in a full and
+  a compact shape) and the picklable :class:`TelemetrySummary`, whose
+  engine counters come from the finished engine's own stats, that
+  crosses ``ParallelRunner`` worker boundaries;
 * :mod:`repro.obs.export` — deterministic ``repro-trace/1`` JSONL
   export/load/validate and the shared ``repro-run/1`` result record;
 * :mod:`repro.obs.report` — the phase-by-phase report and the causal
   ``explain`` query;
 * :mod:`repro.obs.metrics` — the dependency-free live metrics registry
-  (Counter/Gauge/Histogram, canonical ``repro-metrics/1`` snapshots)
-  fed by both substrates and exposed over HTTP by
+  (Counter/Gauge/Histogram, canonical ``repro-metrics/1`` snapshots),
+  fed live by the UDP runtime, after the run by the simulator
+  (``feed_run_record``), and exposed over HTTP by
   :mod:`repro.net.exposition`;
 * :mod:`repro.obs.budgets` — the per-phase round-budget report
-  (``repro trace --budgets``, schema ``repro-budgets/1``);
-* :mod:`repro.obs.profiling` — opt-in wall-clock section timing (the
-  only place wall-clock is allowed near the simulator; REP002 keeps it
-  out of ``sim``/``core``/``chaos``).
+  (``repro trace --budgets``, schema ``repro-budgets/1``).
 
 See ``docs/OBSERVABILITY.md`` and the ``repro trace`` CLI verb.
 """
@@ -44,7 +43,6 @@ from repro.obs.export import (
 from repro.obs.budgets import BudgetReport, budget_report
 from repro.obs.metrics import METRICS_SCHEMA, MetricsRegistry
 from repro.obs.phase import PhaseTrace
-from repro.obs.profiling import SectionProfiler
 from repro.obs.report import explain, render_phase_report
 from repro.obs.telemetry import (
     RunTelemetry,
@@ -63,7 +61,6 @@ __all__ = [
     "RunTelemetry",
     "TelemetrySummary",
     "merge_summaries",
-    "SectionProfiler",
     "TraceDocument",
     "iter_trace_records",
     "write_trace",

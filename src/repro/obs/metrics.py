@@ -10,24 +10,19 @@ pins this).
 
 Both substrates feed one vocabulary:
 
-* the **simulator** through its existing hook points — a
-  :class:`MetricsPhaseSink` behind the protocol's ``phase_sink``
-  (teed next to :class:`~repro.obs.phase.PhaseTrace` by
-  :class:`~repro.obs.telemetry.RunTelemetry`), a
-  :class:`RegistryRoundMetrics` behind the engine's per-round
-  snapshots, and :func:`feed_run_record`/:func:`feed_summary` for
-  end-of-run totals.  Feeding draws no randomness and mutates no
-  simulation state, so a registry-enabled run stays byte-identical to
-  a disabled one (golden-tested, exactly like traced-vs-untraced);
-* the **live runtime** (:mod:`repro.net.node`) through per-datagram
-  counters, liveness RTT histograms and per-tick gauges, exposed over
-  HTTP by :mod:`repro.net.exposition` and read by ``repro top``.
+* the **simulator** after the run: :func:`feed_run_record` folds a
+  finished run's ``repro-run/1`` record into run-level totals.  The
+  record is already final, so feeding can never change results;
+* the **live runtime** (:mod:`repro.net.node`) through a
+  :class:`MetricsPhaseSink` behind the protocol's ``phase_sink``,
+  per-datagram counters, liveness RTT histograms and per-tick gauges,
+  exposed over HTTP by :mod:`repro.net.exposition` and read by
+  ``repro top``.
 
-:func:`observe_phase_event` and :func:`observe_round` are the
-registered *metric sites* of lint rule REP009: both simulation engines
-must reach them (through the ``phase_sink``/``RoundMetrics`` fan-out)
-or neither may — a registry that saw different events under the array
-engine would silently invalidate the parity guarantee.
+:func:`observe_phase_event` is the registered *metric site* of lint
+rule REP009: both simulation engines must reach it or neither may — a
+registry that saw different events under the array engine would
+silently invalidate the parity guarantee.
 
 The registry itself never reads a clock: every number it holds is an
 event count or a value handed to it.
@@ -41,7 +36,6 @@ from bisect import bisect_left
 from typing import Any, Iterable
 
 from repro.core.observe import PhaseEvent, PhaseSink
-from repro.sim.metrics import RoundMetrics, RoundSample
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -51,12 +45,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsPhaseSink",
-    "TeePhaseSink",
-    "RegistryRoundMetrics",
     "observe_phase_event",
-    "observe_round",
     "feed_run_record",
-    "feed_summary",
 ]
 
 METRICS_SCHEMA = "repro-metrics/1"
@@ -445,25 +435,6 @@ def observe_phase_event(
     ).labels(event.kind).inc()
 
 
-def observe_round(registry: MetricsRegistry, sample: RoundSample) -> None:
-    """Fold one engine round sample in (a REP009 metric site)."""
-    registry.gauge(
-        "repro_sim_round", "Last executed simulation round"
-    ).set(sample.round)
-    registry.gauge(
-        "repro_sim_live_members", "Live members after the round"
-    ).set(sample.live_members)
-    registry.gauge(
-        "repro_sim_active_members",
-        "Members still running their protocol",
-    ).set(sample.active_members)
-    registry.histogram(
-        "repro_sim_round_messages",
-        "Messages sent per simulation round",
-        buckets=(8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0, 32768.0),
-    ).observe(sample.messages_sent)
-
-
 class MetricsPhaseSink(PhaseSink):
     """A :class:`PhaseSink` that counts events into a registry."""
 
@@ -472,34 +443,6 @@ class MetricsPhaseSink(PhaseSink):
 
     def emit(self, event: PhaseEvent) -> None:
         observe_phase_event(self.registry, event)
-
-
-class TeePhaseSink(PhaseSink):
-    """Fan one phase-event stream out to several sinks, in order."""
-
-    def __init__(self, *sinks: PhaseSink | None):
-        self.sinks = tuple(sink for sink in sinks if sink is not None)
-
-    def emit(self, event: PhaseEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-
-class RegistryRoundMetrics(RoundMetrics):
-    """A :class:`RoundMetrics` that streams each sample as it is taken.
-
-    Drop-in for the engine's ``metrics`` hook point: the sample list
-    stays identical to the plain collector's, and every snapshot also
-    updates the registry's live per-round gauges.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        super().__init__()
-        self.registry = registry
-
-    def snapshot(self, engine: Any) -> None:
-        super().snapshot(engine)
-        observe_round(self.registry, self.samples[-1])
 
 
 # -- end-of-run feeds --------------------------------------------------
@@ -545,40 +488,3 @@ def feed_run_record(registry: MetricsRegistry, record: dict) -> None:
         value = record.get(key)
         if value is not None:
             registry.gauge(name, help).set(value)
-
-
-def feed_round_samples(
-    registry: MetricsRegistry, samples: Iterable[RoundSample]
-) -> None:
-    """Replay collected round samples into the per-round metrics."""
-    for sample in samples:
-        observe_round(registry, sample)
-
-
-def feed_summary(registry: MetricsRegistry, summary: Any) -> None:
-    """Fold a :class:`~repro.obs.telemetry.TelemetrySummary` in.
-
-    For summaries that crossed a worker boundary (``run_many`` with
-    ``collect_telemetry``) — the live :class:`MetricsPhaseSink` path
-    cannot see those runs.  Do not feed a run both ways: the phase
-    counters would double.
-    """
-    events = registry.counter(
-        "repro_phase_events_total",
-        "Protocol phase events by kind",
-        labelnames=("kind",),
-    )
-    for kind in (
-        "phase_enter", "representative_elected", "subtree_complete",
-        "bump_up_early", "bump_up_timeout", "finalize",
-    ):
-        count = getattr(summary, kind, 0)
-        if count:
-            events.labels(kind).inc(count)
-    registry.counter(
-        "repro_sim_incomplete_finalizes_total",
-        "Finalize events with self-assessed coverage < 1",
-    ).inc(summary.incomplete_finalizes)
-    registry.counter(
-        "repro_summarized_runs_total", "Runs folded in via summaries"
-    ).inc(summary.runs)

@@ -1,7 +1,7 @@
 """Protocol-phase trace collector: the sink behind ``phase_sink``.
 
 :class:`PhaseTrace` implements :class:`~repro.core.observe.PhaseSink`:
-it counts every event (per kind, and timeouts/early-bumps per phase) and
+it counts every event (per kind, and per ``(kind, phase)``) and
 stores the events themselves up to ``max_events`` — the same
 count-everything / store-capped contract as the engine-level
 :class:`~repro.sim.trace.Tracer`, so long runs stay bounded while the
@@ -35,10 +35,8 @@ class PhaseTrace(PhaseSink):
         self.store_events = store_events
         self.events: list[PhaseEvent] = []
         self.counts: Counter[str] = Counter()
-        #: phase -> members that hit the phase timeout with values missing
-        self.phase_timeouts: Counter[int] = Counter()
-        #: phase -> members that bumped up early (step II(b))
-        self.phase_early: Counter[int] = Counter()
+        #: (kind, phase) -> events; exact past the storage cap.
+        self.per_phase: Counter[tuple[str, int]] = Counter()
         #: finalize events reporting coverage < 1 (knowingly partial).
         self.incomplete_finalizes = 0
         self.dropped_events = 0
@@ -48,11 +46,8 @@ class PhaseTrace(PhaseSink):
         if event.kind not in PHASE_EVENT_KINDS:
             raise ValueError(f"unknown phase event kind {event.kind!r}")
         self.counts[event.kind] += 1
-        if event.kind == "bump_up_timeout":
-            self.phase_timeouts[event.phase] += 1
-        elif event.kind == "bump_up_early":
-            self.phase_early[event.phase] += 1
-        elif event.kind == "finalize":
+        self.per_phase[event.kind, event.phase] += 1
+        if event.kind == "finalize":
             if event.coverage is not None and event.coverage < 1.0:
                 self.incomplete_finalizes += 1
         if len(self.events) < self.max_events:
@@ -64,12 +59,19 @@ class PhaseTrace(PhaseSink):
         """Clear events and counters for reuse across runs/epochs."""
         self.events.clear()
         self.counts.clear()
-        self.phase_timeouts.clear()
-        self.phase_early.clear()
+        self.per_phase.clear()
         self.incomplete_finalizes = 0
         self.dropped_events = 0
 
     # -- queries ---------------------------------------------------------
+    def by_phase(self, kind: str) -> dict[int, int]:
+        """phase -> events of ``kind`` in that phase."""
+        return {
+            phase: count
+            for (event_kind, phase), count in self.per_phase.items()
+            if event_kind == kind
+        }
+
     def of_kind(self, kind: str) -> list[PhaseEvent]:
         return [event for event in self.events if event.kind == kind]
 

@@ -9,50 +9,32 @@ into a run.  Two shapes:
 
 * **Full** (``RunTelemetry()``) — stores events for JSONL export
   (:mod:`repro.obs.export`), reports (:mod:`repro.obs.report`) and the
-  ``repro trace`` CLI.
-* **Compact** (``RunTelemetry.compact()``) — counters only, no event
-  storage.  This is what ``RunConfig.collect_telemetry=True`` attaches
-  inside :class:`~repro.experiments.parallel.ParallelRunner` workers;
-  its :class:`TelemetrySummary` is a small frozen dataclass that pickles
+  ``repro trace`` CLI.  The tracer and round metrics need per-message
+  dispatch, so a full run steps on the object engine.
+* **Compact** (``RunTelemetry.compact()``) — phase counters only: no
+  tracer, no round metrics, no stored events, so ``engine='auto'``
+  keeps the array-stepped engine.  This is what
+  ``RunConfig.collect_telemetry=True`` attaches inside
+  :class:`~repro.experiments.parallel.ParallelRunner` workers; its
+  :class:`TelemetrySummary` is a small frozen dataclass that pickles
   back across the worker boundary, so sweeps and chaos campaigns can
-  aggregate phase/bump-up/timeout statistics instead of dropping worker
-  telemetry on the floor.
-* **Metrics-only** (``RunTelemetry.metrics_only(registry)``) — no
-  tracer, no round metrics and no phase sink, just a
-  :class:`~repro.obs.metrics.MetricsRegistry` fed from the end-of-run
-  record.  Every per-event hook stays detached (attaching a phase
-  sink makes the protocol compute event payloads — subtree labels,
-  missing sets — which costs far more than the bench guard's 3%
-  budget), so ``engine='auto'`` still picks the array-stepped engine
-  and the returned :class:`~repro.experiments.runner.RunResult` is
-  byte-identical to an uninstrumented run's (``attach_summary`` is
-  off, so even the ``telemetry`` field stays ``None``).  A *full*
-  telemetry with ``registry`` set streams phase events into the
-  registry live through the teed sink.
+  aggregate phase/bump-up/timeout statistics.
 
-Neither shape draws randomness or mutates simulation state, so results
-are byte-identical with telemetry attached or not (golden-tested).
-Wall-clock profiling (:mod:`repro.obs.profiling`) is opt-in via the
-``profiler`` argument and never touches ``sim``/``core``/``chaos``.
+The summary's engine counters (sends, losses, deliveries, crashes, ...)
+come from the finished engine's own ``EngineStats``/``NetworkStats`` in
+both shapes, recorded by :meth:`RunTelemetry.finish`; a tracer only
+adds the stored events.  Neither shape draws randomness or mutates
+simulation state, so results are byte-identical with telemetry attached
+or not (golden-tested).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.observe import PhaseSink
-from repro.obs.metrics import (
-    MetricsPhaseSink,
-    MetricsRegistry,
-    RegistryRoundMetrics,
-    TeePhaseSink,
-    feed_round_samples,
-    feed_run_record,
-)
 from repro.obs.phase import PhaseTrace
-from repro.obs.profiling import SectionProfiler
 from repro.sim.metrics import RoundMetrics
 from repro.sim.trace import Tracer
 
@@ -157,23 +139,14 @@ class RunTelemetry:
     tracer: Tracer | None = field(default_factory=Tracer)
     metrics: RoundMetrics | None = field(default_factory=RoundMetrics)
     phase_trace: PhaseTrace = field(default_factory=PhaseTrace)
-    #: Opt-in wall-clock section profiler (never part of exports).
-    profiler: SectionProfiler | None = None
-    #: Opt-in live metrics registry: phase events stream in through a
-    #: teed :class:`MetricsPhaseSink`, run totals at :meth:`finish`.
-    registry: MetricsRegistry | None = None
-    #: Whether the runner should put :meth:`summary` on the returned
-    #: ``RunResult``; the metrics-only shape turns this off so a
-    #: registry-fed run's result stays byte-identical to a plain one.
-    attach_summary: bool = True
-    #: Whether the protocol processes get a phase sink at all; the
-    #: metrics-only shape turns this off — payload computation behind
-    #: an attached sink is the dominant instrumentation cost.
-    attach_phase_sink: bool = True
     # -- run identity, set by finish() ---------------------------------
     config_record: dict | None = None
     result_record: dict | None = None
-    rounds: int = 0
+    #: The finished engine's rounds and event totals as a summary whose
+    #: other fields are left at zero (set by :meth:`finish`).
+    engine_summary: TelemetrySummary = field(
+        default_factory=TelemetrySummary
+    )
     #: (group_size, k) of the Grid Box Hierarchy, when the protocol has
     #: one — lets the explain query reconstruct subtree membership.
     hierarchy: tuple[int, int] | None = None
@@ -185,70 +158,38 @@ class RunTelemetry:
     def compact(cls) -> "RunTelemetry":
         """Counters-only shape: cheap to run, cheap to pickle back.
 
-        No engine events or phase events are stored (counters keep
-        counting) and no per-round metrics samples are taken — exactly
-        what a ``ParallelRunner`` worker should pay for a sweep that
-        only wants aggregate statistics.
-        """
-        return cls(
-            tracer=Tracer(max_events=0),
-            metrics=None,
-            phase_trace=PhaseTrace(store_events=False),
-        )
-
-    @classmethod
-    def metrics_only(cls, registry: MetricsRegistry) -> "RunTelemetry":
-        """Registry-fed shape with every per-event hook detached.
-
-        No tracer, no round metrics and no phase sink: ``engine='auto'``
-        still selects the array-stepped engine and the protocol never
-        computes event payloads, so this is cheap enough to leave on —
-        the bench guard pins the overhead within 3% at n=8192.  The
-        registry is fed once, from the final run record.
+        No tracer, no per-round metrics samples and no stored phase
+        events (phase counters keep counting) — exactly what a
+        ``ParallelRunner`` worker should pay for a sweep that only wants
+        aggregate statistics, and nothing that needs the object engine.
         """
         return cls(
             tracer=None,
             metrics=None,
             phase_trace=PhaseTrace(store_events=False),
-            registry=registry,
-            attach_summary=False,
-            attach_phase_sink=False,
         )
 
-    def phase_sink(self) -> PhaseSink | None:
-        """The sink the runner wires into the protocol processes.
-
-        ``None`` when detached (metrics-only shape); otherwise the
-        :class:`PhaseTrace` alone, or a tee that also streams every
-        event into the attached registry.
-        """
-        if not self.attach_phase_sink:
-            return None
-        if self.registry is None:
-            return self.phase_trace
-        return TeePhaseSink(
-            self.phase_trace, MetricsPhaseSink(self.registry)
-        )
-
-    def profile(self, section: str) -> AbstractContextManager[None]:
-        """Context manager timing ``section`` (no-op without a profiler)."""
-        if self.profiler is None:
-            return nullcontext()
-        return self.profiler.section(section)
+    def phase_sink(self) -> PhaseSink:
+        """The sink the runner wires into the protocol processes."""
+        return self.phase_trace
 
     def finish(
         self,
         config=None,
         result_record: dict | None = None,
-        rounds: int | None = None,
+        engine=None,
         assignment=None,
     ) -> None:
         """Record the finished run's identity for exports and reports.
 
         ``config`` is any dataclass (``RunConfig`` in practice —
         duck-typed so this package never imports ``repro.experiments``);
-        ``assignment`` a :class:`~repro.core.gridbox.GridAssignment` or
-        ``None`` for protocols without a hierarchy.
+        ``engine`` the finished
+        :class:`~repro.sim.engine.SimulationEngine` (either stepping),
+        whose ``stats``/``network.stats`` counters become the summary's
+        engine counts; ``assignment`` a
+        :class:`~repro.core.gridbox.GridAssignment` or ``None`` for
+        protocols without a hierarchy.
         """
         import repro.sanitize as sanitize
 
@@ -260,20 +201,18 @@ class RunTelemetry:
             }
         if result_record is not None:
             self.result_record = result_record
-            if self.registry is not None:
-                # Pure observation: the record is already final, so the
-                # feed can never change results (golden-tested).
-                feed_run_record(self.registry, result_record)
-                if self.metrics is not None and not isinstance(
-                    self.metrics, RegistryRoundMetrics
-                ):
-                    # A RegistryRoundMetrics already streamed its
-                    # samples live; replaying would double-count.
-                    feed_round_samples(
-                        self.registry, self.metrics.samples
-                    )
-        if rounds is not None:
-            self.rounds = rounds
+        if engine is not None:
+            stats, network = engine.stats, engine.network.stats
+            self.engine_summary = TelemetrySummary(
+                rounds=stats.rounds_executed,
+                sends=network.sent - network.dropped,
+                sends_lost=network.dropped,
+                sends_rejected=stats.sends_rejected,
+                delivers=stats.messages_delivered,
+                crashes=stats.crashes,
+                recoveries=stats.recoveries,
+                terminates=engine.terminated_count,
+            )
         if assignment is not None:
             hierarchy = assignment.hierarchy
             self.hierarchy = (hierarchy.group_size, hierarchy.k)
@@ -286,10 +225,8 @@ class RunTelemetry:
     def summary(self) -> TelemetrySummary:
         """The compact picklable aggregate of this run."""
         phase = self.phase_trace
-        engine = self.tracer.counts if self.tracer is not None else {}
-        return TelemetrySummary(
-            runs=1,
-            rounds=self.rounds,
+        return dataclasses.replace(
+            self.engine_summary,
             phase_enter=phase.counts.get("phase_enter", 0),
             representative_elected=phase.counts.get(
                 "representative_elected", 0
@@ -299,16 +236,13 @@ class RunTelemetry:
             bump_up_timeout=phase.counts.get("bump_up_timeout", 0),
             finalize=phase.counts.get("finalize", 0),
             incomplete_finalizes=phase.incomplete_finalizes,
-            phase_timeouts=tuple(sorted(phase.phase_timeouts.items())),
-            phase_early=tuple(sorted(phase.phase_early.items())),
+            phase_timeouts=tuple(
+                sorted(phase.by_phase("bump_up_timeout").items())
+            ),
+            phase_early=tuple(
+                sorted(phase.by_phase("bump_up_early").items())
+            ),
             dropped_phase_events=phase.dropped_events,
-            sends=engine.get("send", 0),
-            sends_lost=engine.get("send_lost", 0),
-            sends_rejected=engine.get("send_rejected", 0),
-            delivers=engine.get("deliver", 0),
-            crashes=engine.get("crash", 0),
-            recoveries=engine.get("recover", 0),
-            terminates=engine.get("terminate", 0),
             dropped_engine_events=(
                 self.tracer.dropped_events
                 if self.tracer is not None else 0

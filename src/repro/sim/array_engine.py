@@ -58,9 +58,11 @@ class ArraySteppedEngine(SimulationEngine):
     ``stepper`` drives the per-round protocol step (sends + phase
     advances) over all members at once; everything else — failure
     application, round bus, termination bookkeeping, ``run()`` — is the
-    base engine's.  Tracing is unsupported (the block paths do not emit
-    per-message trace events); attach a tracer to the object-stepped
-    engine instead.
+    base engine's.  Message tracing and per-round metrics are
+    unsupported (the block paths do not emit per-message trace events);
+    attach those to the object-stepped engine instead.  Phase events and
+    the ``stats``/``network.stats`` counters are kept exactly as the
+    object engine keeps them, so compact run telemetry runs here.
     """
 
     def __init__(self, stepper: Any, **kwargs):

@@ -56,8 +56,7 @@ class Tracer:
         self.predicate = predicate
         self.events: list[TraceEvent] = []
         self.counts: Counter = Counter()
-        #: Events past the cap.  ``max_events=0`` is the counters-only
-        #: shape (nothing was meant to be stored), so it stays 0 there.
+        #: Events the predicate kept but the cap turned away.
         self.dropped_events = 0
 
     def record(self, event: TraceEvent) -> None:
@@ -68,7 +67,7 @@ class Tracer:
             return
         if len(self.events) < self.max_events:
             self.events.append(event)
-        elif self.max_events > 0:
+        else:
             self.dropped_events += 1
 
     def reset(self) -> None:

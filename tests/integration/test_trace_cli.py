@@ -8,14 +8,22 @@ import json
 
 import pytest
 
+from repro.chaos import campaign_names
 from repro.cli import main
 from repro.experiments.params import with_params
 from repro.experiments.runner import run_once
 from repro.monitoring import MonitoringSession
-from repro.obs.export import load_trace, validate_trace_lines, write_trace
+from repro.obs.export import (
+    load_trace,
+    run_result_record,
+    validate_trace_lines,
+    write_trace,
+)
 from repro.obs.phase import PhaseTrace
 from repro.obs.report import explain, render_phase_report
 from repro.obs.telemetry import RunTelemetry
+from repro.sim.array_engine import ArraySteppedEngine
+from repro.sim.engine import SimulationEngine
 
 #: The planted-loss scenario the explain acceptance criterion runs on:
 #: heavy message loss leaves most members with incomplete aggregates.
@@ -89,6 +97,81 @@ class TestTelemetrySummaryOnResult:
 
     def test_untelemetered_run_has_none(self):
         assert run_once(with_params(n=32, seed=0)).telemetry is None
+
+
+#: Engine-side summary counters and the Tracer event kind each mirrors.
+ENGINE_COUNTERS = {
+    "sends": "send", "sends_lost": "send_lost",
+    "sends_rejected": "send_rejected", "delivers": "deliver",
+    "crashes": "crash", "recoveries": "recover", "terminates": "terminate",
+}
+
+STATS_CONFIGS = {
+    **{name: with_params(n=64, campaign=name, seed=0)
+       for name in campaign_names()},
+    "flood": with_params(n=64, protocol="flood", seed=0),
+    "capped": with_params(n=64, max_sends_per_round=1, seed=1),
+    "partl": with_params(n=64, partl=0.9, seed=0),
+}
+
+
+@pytest.fixture(scope="module")
+def stats_counts():
+    """Per config: (stats-derived summary counters, Tracer counts)."""
+    counts = {}
+    for name, config in STATS_CONFIGS.items():
+        result, telemetry = _traced(config)
+        counts[name] = (
+            {f: getattr(result.telemetry, f) for f in ENGINE_COUNTERS},
+            {f: telemetry.tracer.counts[kind]
+             for f, kind in ENGINE_COUNTERS.items()},
+        )
+    return counts
+
+
+class TestEngineCountsFromStats:
+    """The summary's engine counters come from the engine's own stats;
+    on the object engine they must equal what a full Tracer counted."""
+
+    @pytest.mark.parametrize("name", STATS_CONFIGS)
+    def test_stats_counters_equal_tracer_counts(self, name, stats_counts):
+        derived, traced = stats_counts[name]
+        assert derived == traced
+
+    def test_capped_and_lossy_cases_are_exercised(self, stats_counts):
+        # Guard the parametrization above: it must cover rejected and
+        # lost sends, crashes and recoveries, not only the happy path.
+        seen = {
+            f for derived, _ in stats_counts.values()
+            for f, count in derived.items() if count
+        }
+        assert seen == set(ENGINE_COUNTERS)
+
+
+class TestCompactArrayEngine:
+    @pytest.mark.parametrize("config", [
+        pytest.param(with_params(n=128, seed=1), id="defaults"),
+        pytest.param(
+            with_params(n=48, campaign="tamper-forge", seed=0),
+            id="tamper-forge",
+        ),
+    ])
+    def test_matches_object_engine(self, config, monkeypatch):
+        engines = []
+        original = SimulationEngine.run
+
+        def spy(engine, *args, **kwargs):
+            engines.append(type(engine))
+            return original(engine, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationEngine, "run", spy)
+        compact = dataclasses.replace(config, collect_telemetry=True)
+        auto = run_once(compact)
+        on_object = run_once(dataclasses.replace(compact, engine="object"))
+        assert engines == [ArraySteppedEngine, SimulationEngine]
+        assert auto.telemetry == on_object.telemetry
+        assert run_result_record(auto) == run_result_record(on_object)
+        assert auto.report == on_object.report
 
 
 class TestJsonlRoundTrip:
@@ -240,6 +323,33 @@ class TestTraceCli:
         ]) == 0
         assert "beyond the storage cap" in capsys.readouterr().out
 
+    def _capped(self, tmp_path, capsys, cap):
+        out = tmp_path / f"cap{cap}.jsonl"
+        cap_args = [] if cap is None else ["--max-events", str(cap)]
+        assert main([
+            "trace", "--n", "32", "--seed", "1", *cap_args,
+            "--out", str(out),
+        ]) == 0
+        table = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.split()[0].isdigit() or line.startswith("phase")
+        ]
+        return table, load_trace(str(out)).summary
+
+    def test_phase_table_is_exact_past_the_cap(self, tmp_path, capsys):
+        table, __ = self._capped(tmp_path, capsys, None)
+        capped, summary = self._capped(tmp_path, capsys, 0)
+        assert summary["dropped_phase_events"] > 0
+        assert capped == table
+
+    def test_summary_counts_every_capped_engine_event(
+        self, tmp_path, capsys
+    ):
+        __, summary = self._capped(tmp_path, capsys, 0)
+        every_event = sum(summary[key] for key in ENGINE_COUNTERS)
+        assert every_event > 0
+        assert summary["dropped_engine_events"] == every_event
+
 
 class TestBudgetsCli:
     TRACE_ARGS = ["trace", "--n", "64", "--ucastl", "0.4", "--seed", "1"]
@@ -387,7 +497,7 @@ class TestMonitoringTelemetry:
         assert observed.messages == base.messages
         assert observed.phase_timeouts == base.phase_timeouts
         assert sink.counts["finalize"] > 0
-        assert sum(sink.phase_timeouts.values()) == base.phase_timeouts
+        assert sink.counts["bump_up_timeout"] == base.phase_timeouts
 
     def test_monitor_cli_shows_timeouts_and_triggers(self, capsys):
         assert main([

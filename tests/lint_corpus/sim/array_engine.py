@@ -17,8 +17,6 @@ class ArraySteppedEngine:
         self.sink = PhaseSink()
 
     def run(self, members):
-        # PairedEmitter's registry feed (observe_phase_event) rides
-        # along here too, keeping the metric-site class paired.
         paired = PairedEmitter(self.sink)
         for member in members:
             paired.emit_enter(member, 0)

@@ -22,7 +22,7 @@ class SimulationEngine:
         self.registry = Registry()
 
     def run(self, members):
-        paired = PairedEmitter(self.sink, self.registry)
+        paired = PairedEmitter(self.sink)
         lone = ObjectOnlyEmitter(self.sink)
         metrics = ObjectOnlyMetrics(self.registry)
         for member in members:

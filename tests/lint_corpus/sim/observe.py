@@ -38,9 +38,5 @@ def observe_phase_event(registry, event):
     registry.fed.append(("phase", event))
 
 
-def observe_round(registry, sample):
-    registry.fed.append(("round", sample))
-
-
 def check_compose(member, value):
     return value

@@ -18,20 +18,9 @@ from repro.obs.metrics import (
     METRICS_SCHEMA,
     MetricsPhaseSink,
     MetricsRegistry,
-    TeePhaseSink,
     feed_run_record,
     observe_phase_event,
-    observe_round,
 )
-from repro.sim.metrics import RoundSample
-
-
-def _sample(round=0, messages=10):
-    return RoundSample(
-        round=round, messages_sent=messages, bytes_sent=messages * 8,
-        messages_dropped=0, live_members=16, active_members=16,
-        max_sends_by_member=3,
-    )
 
 
 def _event(kind="phase_enter", phase=1):
@@ -238,33 +227,12 @@ class TestHookPoints:
         assert counter.labels("phase_enter").value == 2
         assert counter.labels("finalize").value == 1
 
-    def test_observe_round_sets_gauges_and_histogram(self):
-        registry = MetricsRegistry()
-        observe_round(registry, _sample(round=7, messages=40))
-        assert registry.gauge("repro_sim_round").value == 7
-        assert registry.gauge("repro_sim_live_members").value == 16
-        messages = registry.snapshot()["metrics"][
-            "repro_sim_round_messages"
-        ]
-        assert messages["samples"][0]["count"] == 1
-
     def test_metrics_phase_sink_feeds_the_registry(self):
         registry = MetricsRegistry()
         MetricsPhaseSink(registry).emit(_event("finalize"))
         assert registry.counter(
             "repro_phase_events_total", labelnames=("kind",)
         ).labels("finalize").value == 1
-
-    def test_tee_fans_out_and_skips_none(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        tee = TeePhaseSink(
-            MetricsPhaseSink(left), None, MetricsPhaseSink(right)
-        )
-        tee.emit(_event())
-        for registry in (left, right):
-            assert registry.counter(
-                "repro_phase_events_total", labelnames=("kind",)
-            ).labels("phase_enter").value == 1
 
     def test_feed_run_record_accumulates_counters(self):
         registry = MetricsRegistry()

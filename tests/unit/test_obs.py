@@ -3,6 +3,7 @@ core-side phase-event vocabulary (repro.core.observe)."""
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,12 +16,13 @@ from repro.core.observe import (
 )
 from repro.obs.export import validate_trace_lines
 from repro.obs.phase import PhaseTrace
-from repro.obs.profiling import SectionProfiler
 from repro.obs.telemetry import (
     RunTelemetry,
     TelemetrySummary,
     merge_summaries,
 )
+from repro.sim.engine import EngineStats
+from repro.sim.network import NetworkStats
 from repro.sim.trace import TraceEvent, Tracer
 
 
@@ -66,8 +68,8 @@ class TestPhaseTrace:
         trace.emit(_event(kind="bump_up_timeout", phase=1))
         trace.emit(_event(kind="bump_up_timeout", phase=2))
         trace.emit(_event(kind="bump_up_early", phase=1))
-        assert trace.phase_timeouts == {1: 2, 2: 1}
-        assert trace.phase_early == {1: 1}
+        assert trace.by_phase("bump_up_timeout") == {1: 2, 2: 1}
+        assert trace.by_phase("bump_up_early") == {1: 1}
 
     def test_incomplete_finalizes(self):
         trace = PhaseTrace()
@@ -83,7 +85,7 @@ class TestPhaseTrace:
         trace.reset()
         assert trace.events == []
         assert not trace.counts
-        assert not trace.phase_timeouts
+        assert not trace.per_phase
         assert trace.incomplete_finalizes == 0
         assert trace.dropped_events == 0
 
@@ -127,12 +129,12 @@ class TestTracerCapAndPredicate:
         assert tracer.dropped_events == 7
         assert tracer.counts["send"] == 10
 
-    def test_counters_only_shape_has_no_drops(self):
+    def test_zero_cap_counts_every_event_as_dropped(self):
         tracer = Tracer(max_events=0)
         for index in range(5):
             tracer.record(TraceEvent(0, "send", index))
         assert tracer.events == []
-        assert tracer.dropped_events == 0
+        assert tracer.dropped_events == 5
         assert tracer.counts["send"] == 5
 
     def test_reset(self):
@@ -181,24 +183,24 @@ class TestTelemetrySummary:
 class TestRunTelemetry:
     def test_compact_shape_stores_nothing(self):
         telemetry = RunTelemetry.compact()
-        assert telemetry.tracer.max_events == 0
+        assert telemetry.tracer is None
         assert telemetry.metrics is None
         assert telemetry.phase_trace.max_events == 0
-
-    def test_profile_is_noop_without_profiler(self):
-        telemetry = RunTelemetry.compact()
-        with telemetry.profile("anything"):
-            pass  # must not raise
 
     def test_summary_reflects_collected_events(self):
         telemetry = RunTelemetry.compact()
         telemetry.phase_trace.emit(_event(kind="bump_up_timeout", phase=2))
-        telemetry.tracer.record(TraceEvent(0, "send", 0))
-        telemetry.rounds = 7
+        engine = SimpleNamespace(
+            stats=EngineStats(rounds_executed=7, messages_delivered=2),
+            network=SimpleNamespace(stats=NetworkStats(sent=3, dropped=1)),
+            terminated_count=4,
+        )
+        telemetry.finish(engine=engine)
         summary = telemetry.summary()
         assert summary.bump_up_timeout == 1
         assert summary.phase_timeout_map() == {2: 1}
-        assert summary.sends == 1
+        assert (summary.sends, summary.sends_lost) == (2, 1)
+        assert (summary.delivers, summary.terminates) == (2, 4)
         assert summary.rounds == 7
 
     def test_finish_records_config_duck_typed(self):
@@ -212,36 +214,6 @@ class TestRunTelemetry:
         telemetry = RunTelemetry.compact()
         telemetry.finish(config=FakeConfig())
         assert telemetry.config_record == {"n": 8, "seed": 1}
-
-
-class TestSectionProfiler:
-    def test_sections_accumulate(self):
-        profiler = SectionProfiler()
-        with profiler.section("a"):
-            pass
-        with profiler.section("a"):
-            pass
-        with profiler.section("b"):
-            pass
-        assert profiler.calls == {"a": 2, "b": 1}
-        assert set(profiler.totals) == {"a", "b"}
-        assert all(seconds >= 0.0 for seconds in profiler.totals.values())
-
-    def test_merge_and_report(self):
-        first, second = SectionProfiler(), SectionProfiler()
-        with first.section("a"):
-            pass
-        with second.section("a"):
-            pass
-        first.merge(second)
-        assert first.calls["a"] == 2
-        assert "a" in first.report()
-
-    def test_as_records_is_json_ready(self):
-        profiler = SectionProfiler()
-        with profiler.section("x"):
-            pass
-        json.dumps(profiler.as_records())
 
 
 class TestSubtreeFormatting:
