@@ -89,8 +89,8 @@ class ChaosNetwork(Network):
     ``current_loss``, ``current_extra_latency`` and the active partition
     before each round's sends; between mutations the model behaves like
     :class:`~repro.sim.network.LossyNetwork` at ``base_loss``.  Latency
-    may vary mid-run, so :attr:`fixed_latency` is ``None`` and the engine
-    schedules deliveries on its heap (deterministic order regardless).
+    may vary mid-run, so :attr:`fixed_latency` is ``None``; it is
+    uniform within a round, which :meth:`block_latency_rounds` reports.
     """
 
     def __init__(self, base_loss: float = 0.25, **kwargs):

@@ -193,9 +193,8 @@ class LatencyBurst(FaultEvent):
     """A window of added delivery latency (queueing spike).
 
     Messages *sent* during ``[start, stop)`` take ``extra_rounds``
-    additional rounds to deliver.  Latency varies mid-run, so a compiled
-    campaign network always uses the engine's heap scheduler (delivery
-    order is still deterministic).
+    additional rounds to deliver.  Delivery order stays deterministic:
+    the engine's per-round queue keeps enqueue order for any latency.
     """
 
     start: float

@@ -54,8 +54,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", default="auto",
                         choices=("auto", "object", "array"),
                         help="round engine: 'auto' picks the array-stepped "
-                             "engine when supported (bit-identical results), "
-                             "'object'/'array' force one")
+                             "engine when the protocol configuration "
+                             "supports it (bit-identical results and "
+                             "traces), 'object'/'array' force one")
 
 
 def _parse_endpoint(value: str) -> tuple[str, int]:

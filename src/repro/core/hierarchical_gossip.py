@@ -475,75 +475,40 @@ class HierarchicalGossipProcess(AggregationProcess):
             self._known_version += 1
 
     def on_message(self, ctx: Context, message: Message) -> None:
-        payload = message.payload
         if self.result is not None:
             return
-        if isinstance(payload, GossipValue):
-            entries: tuple = ((payload.key, payload.state),)
-            phase = payload.phase
-        elif isinstance(payload, GossipBatch):
-            entries = payload.entries
-            phase = payload.phase
-            if (
-                self.params.push_pull
-                and not payload.reply
-                and phase == self.phase
-                and self.known
-            ):
-                answer = GossipBatch(
-                    self.phase, self._batch_entries(None), reply=True
-                )
-                ctx.send(message.src, answer, size=answer.wire_size())
-        else:
-            return
-        if phase < self.phase:
-            return  # stale: that phase is already composed here
-        if phase == self.phase:
-            bucket = self.known
-            self._phase_received += 1
-        else:
-            bucket = self._future.setdefault(phase, {})
-        if isinstance(payload, GossipBatch):
-            # Absorbed-payload dedupe: the sender reuses one batch object
-            # while its ``known`` is unchanged, so the same object often
-            # arrives many times within a phase.  Re-absorbing it is a
-            # no-op — ``_accept`` keeps an existing entry unless the
-            # offered version *strictly* improves coverage, and an
-            # already-absorbed entry cannot improve on itself — so the
-            # entry loop is skipped.  ``_phase_received`` (above) still
-            # counts the delivery: it measures network health, not
-            # novelty.  This must run *after* the push-pull reply so a
-            # repeated request still pulls our state.
-            seen = self._seen_payloads
-            if seen.get(id(payload)) is payload:
-                return
-            if len(seen) < self._SEEN_CAP:
-                seen[id(payload)] = payload
-        screen = sanitize.SCREEN
-        for key, state in entries:
-            if screen is not None and not screen(
-                self, ctx.round, phase, key, state
-            ):
-                continue  # quarantined: adversarial content detected
-            self._accept(bucket, key, state)
+        payload = message.payload
+        if (
+            self.params.push_pull
+            and isinstance(payload, GossipBatch)
+            and not payload.reply
+            and payload.phase == self.phase
+            and self.known
+        ):
+            # Answered before absorbing, so a repeated request (which
+            # absorb_payloads' dedupe skips) still pulls our state.
+            answer = GossipBatch(
+                self.phase, self._batch_entries(None), reply=True
+            )
+            ctx.send(message.src, answer, size=answer.wire_size())
+        self.absorb_payloads((payload,), ctx.round)
 
     def absorb_payloads(
         self, payloads: Iterable[object], round_number: int = 0
     ) -> bool:
-        """Batched :meth:`on_message` over one round's arrived payloads.
+        """Merge a receiver's arrived payloads, in arrival order.
 
-        The array-stepped engine's merge entry point: applies each
-        payload exactly as a per-message ``on_message`` call would (same
-        stale / current / future routing, same dedupe, same
-        ``_phase_received`` accounting, same adversarial admission
-        screen — ``round_number`` is the engine round, for detection
-        attribution) and reports whether ``known`` changed — the
-        engine's advance-candidate signal.  Valid only
-        for push-free configurations (no push-pull replies are
-        generated here); the engine's fast-path gate guarantees that.
-        Phase advancement is *not* attempted — the engine drives
-        :meth:`_maybe_advance` in the round step, exactly like the
-        object-stepped engine does.
+        The one receive path: :meth:`on_message` delegates here after
+        any push-pull reply, and the array-stepped engine calls it once
+        per receiver with the round's arrivals.  Stale payloads are
+        dropped, current-phase ones merge into ``known`` (counted in
+        ``_phase_received``), future-phase ones are parked; a batch
+        object already absorbed is skipped, and every entry passes the
+        adversarial admission screen (``round_number`` is the engine
+        round, for detection attribution).  Returns whether ``known``
+        changed — the array engine's advance-candidate signal.  Phase
+        advancement is *not* attempted here: both engines drive
+        :meth:`_maybe_advance` in the round step.
         """
         if self.result is not None:
             return False
@@ -568,6 +533,11 @@ class HierarchicalGossipProcess(AggregationProcess):
             else:
                 bucket = self._future.setdefault(phase, {})
             if isinstance(payload, GossipBatch):
+                # A sender reuses one batch object while its ``known`` is
+                # unchanged; re-absorbing it cannot improve an entry
+                # (``_accept`` wants a strict coverage gain), so skip it.
+                # ``_phase_received`` still counted the delivery: it
+                # measures network health, not novelty.
                 if seen.get(id(payload)) is payload:
                     continue
                 if len(seen) < self._SEEN_CAP:

@@ -71,8 +71,8 @@ class RunConfig:
     #: engine's own send/delivery/crash totals, returned on
     #: ``RunResult.telemetry`` as a picklable summary — the flag (not an
     #: object) so it survives the ``ParallelRunner`` worker boundary.
-    #: Never changes results or the engine ``"auto"`` picks: compact
-    #: telemetry attaches no tracer, and draws no randomness.
+    #: Never changes results or the engine ``"auto"`` picks: telemetry
+    #: draws no randomness, and engine selection ignores it.
     collect_telemetry: bool = False
     #: Round-engine selection: ``"auto"`` uses the array-stepped engine
     #: when the configuration supports it (bit-identical results, much

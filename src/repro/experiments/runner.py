@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 from repro.baselines.centralized import build_centralized_group
 from repro.baselines.flat_gossip import build_flat_gossip_group
@@ -266,21 +267,16 @@ def _box_groups(
     return [tuple(ids[i:i + k]) for i in range(0, len(ids), k)]
 
 
-def _array_engine_reason(
-    config: RunConfig, telemetry: RunTelemetry | None, processes,
-) -> str | None:
+def _array_engine_reason(config: RunConfig, processes) -> str | None:
     """Why this run cannot use the array-stepped engine (None = it can).
 
-    The array engine is bit-identical to the object engine on supported
-    configurations (the cross-engine golden suite pins it), so "auto"
-    selection never changes results — only speed.
+    The answer depends on the protocol configuration only: the array
+    engine is bit-identical to the object engine on supported
+    configurations, telemetry included (the cross-engine golden suite
+    pins it), so "auto" selection never changes results — only speed.
     """
     if config.protocol != "hierarchical_gossip":
         return f"protocol {config.protocol!r} has no array stepper"
-    if telemetry is not None and (
-        telemetry.tracer is not None or telemetry.metrics is not None
-    ):
-        return "message tracing / round metrics need per-message dispatch"
     from repro.core.array_stepper import unsupported_reason
 
     return unsupported_reason(processes[0].params)
@@ -302,24 +298,13 @@ def _make_engine(
             f"unknown engine {choice!r}; known: auto, object, array"
         )
     reason = (
-        _array_engine_reason(config, telemetry, processes)
+        _array_engine_reason(config, processes)
         if choice != "object"
         else "engine='object' requested"
     )
     if choice == "array" and reason is not None:
         raise ValueError(f"engine='array' is unsupported here: {reason}")
-    if reason is None:
-        from repro.core.array_stepper import HierarchicalArrayStepper
-        from repro.sim.array_engine import ArraySteppedEngine
-
-        return ArraySteppedEngine(
-            stepper=HierarchicalArrayStepper(),
-            network=network,
-            failure_model=failure_model,
-            rngs=rngs,
-            max_rounds=max_rounds,
-        )
-    return SimulationEngine(
+    common: dict[str, Any] = dict(
         network=network,
         failure_model=failure_model,
         rngs=rngs,
@@ -327,6 +312,13 @@ def _make_engine(
         tracer=telemetry.tracer if telemetry is not None else None,
         metrics=telemetry.metrics if telemetry is not None else None,
     )
+    if reason is None:
+        from repro.core.array_stepper import HierarchicalArrayStepper
+        from repro.sim.array_engine import ArraySteppedEngine
+
+        return ArraySteppedEngine(stepper=HierarchicalArrayStepper(),
+                                  **common)
+    return SimulationEngine(**common)
 
 
 def _campaign_horizon(config: RunConfig, max_rounds: int) -> int:

@@ -9,11 +9,10 @@ into a run.  Two shapes:
 
 * **Full** (``RunTelemetry()``) — stores events for JSONL export
   (:mod:`repro.obs.export`), reports (:mod:`repro.obs.report`) and the
-  ``repro trace`` CLI.  The tracer and round metrics need per-message
-  dispatch, so a full run steps on the object engine.
+  ``repro trace`` CLI.  Both round engines feed the tracer and round
+  metrics identically, so telemetry never picks the engine.
 * **Compact** (``RunTelemetry.compact()``) — phase counters only: no
-  tracer, no round metrics, no stored events, so ``engine='auto'``
-  keeps the array-stepped engine.  This is what
+  tracer, no round metrics, no stored events.  This is what
   ``RunConfig.collect_telemetry=True`` attaches inside
   :class:`~repro.experiments.parallel.ParallelRunner` workers; its
   :class:`TelemetrySummary` is a small frozen dataclass that pickles
@@ -131,9 +130,10 @@ class RunTelemetry:
     """Everything observable about one run, behind one handle.
 
     Pass an instance to :func:`repro.experiments.runner.run_once`; the
-    runner wires ``tracer``/``metrics`` into the engine, ``phase_trace``
-    into the protocol processes, and calls :meth:`finish` with the run's
-    identity so exports are self-contained.
+    runner wires ``tracer``/``metrics`` into whichever round engine the
+    configuration selects, ``phase_trace`` into the protocol processes,
+    and calls :meth:`finish` with the run's identity so exports are
+    self-contained.
     """
 
     tracer: Tracer | None = field(default_factory=Tracer)
@@ -161,7 +161,7 @@ class RunTelemetry:
         No tracer, no per-round metrics samples and no stored phase
         events (phase counters keep counting) — exactly what a
         ``ParallelRunner`` worker should pay for a sweep that only wants
-        aggregate statistics, and nothing that needs the object engine.
+        aggregate statistics.
         """
         return cls(
             tracer=None,

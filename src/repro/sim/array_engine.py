@@ -14,11 +14,11 @@ batched array paths:
   ``plan_delivery`` call per message.  Models that cannot block-plan
   (per-message latency, opaque loss hooks) fall back to per-message
   planning *in send order*, which consumes the loss stream identically.
-* **Deliveries** — pending messages are stored as per-round record
-  chunks (destination ids, sender rows, payload table) instead of a
-  heap; :meth:`_deliver_due` masks dead receivers, groups by receiver
-  with a stable sort, and applies each receiver's arrivals with one
-  batched merge call (``absorb_payloads``) instead of one ``on_message``
+* **Deliveries** — surviving sends go on the base engine's per-round
+  queue as record chunks (destination ids, sender rows, payload table);
+  :meth:`_deliver_due` masks dead receivers, groups by receiver with a
+  stable sort, and applies each receiver's arrivals with one batched
+  merge call (``absorb_payloads``) instead of one ``on_message``
   dispatch per message.
 
 **Equivalence contract** — for the protocol configurations the stepper
@@ -26,7 +26,7 @@ accepts, a run on this engine is *bit-identical* to the object-stepped
 engine under the same seed: same RNG stream consumption (per-member
 gossip streams are independent, the shared loss stream is consumed in
 send order), same network stats, same protocol decisions, same phase
-events.  The cross-engine golden suite pins this.
+and engine events.  The cross-engine golden suite pins this.
 
 The stepper contract is two methods::
 
@@ -42,6 +42,7 @@ ids.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 import numpy as np
@@ -57,23 +58,17 @@ class ArraySteppedEngine(SimulationEngine):
 
     ``stepper`` drives the per-round protocol step (sends + phase
     advances) over all members at once; everything else — failure
-    application, round bus, termination bookkeeping, ``run()`` — is the
-    base engine's.  Message tracing and per-round metrics are
-    unsupported (the block paths do not emit per-message trace events);
-    attach those to the object-stepped engine instead.  Phase events and
-    the ``stats``/``network.stats`` counters are kept exactly as the
-    object engine keeps them, so compact run telemetry runs here.
+    application, the delivery queue, round bus, round metrics,
+    termination bookkeeping, ``run()`` — is the base engine's.  A
+    tracer sees the object engine's events in the object engine's
+    order, so a traced run exports the same ``repro-trace/1`` file on
+    either engine.
     """
 
+    #: Trace kind per block-send outcome: rejected, delivered, lost.
+    _SEND_KINDS = ("send_rejected", "send", "send_lost")
+
     def __init__(self, stepper: Any, **kwargs):
-        if kwargs.get("tracer") is not None:
-            raise ValueError(
-                "ArraySteppedEngine does not emit per-message traces; "
-                "use the object-stepped SimulationEngine for traced runs"
-            )
-        # Keep stray scalar sends (none in supported configurations, but
-        # the Context.send path stays functional) on the base heap.
-        kwargs.setdefault("fifo_fast_path", False)
         super().__init__(**kwargs)
         self._stepper = stepper
         #: Members in registration order; ``row`` indexes these arrays.
@@ -84,10 +79,11 @@ class ArraySteppedEngine(SimulationEngine):
         self._dense_rows = False
         self._sorted_ids: np.ndarray | None = None
         self._id_order: np.ndarray | None = None
-        #: delivery round -> [(dest ids, sender rows, payload-by-row)].
-        self._pending: dict[int, list[tuple]] = {}
         #: Rows whose process state changed in this round's deliveries.
         self._changed_rows: list[int] = []
+        #: This round's send events (sender row, kind, src, dest), held
+        #: back so each member's sends precede its terminate event.
+        self._held_sends: deque[tuple[int, str, int, int]] = deque()
 
     # -- row bookkeeping ------------------------------------------------
     def _bind_rows(self) -> None:
@@ -134,6 +130,8 @@ class ArraySteppedEngine(SimulationEngine):
             self.alive_rows[self._row_of(process.node_id)] = True
 
     def _note_terminate(self, process: Process) -> None:
+        if self._held_sends:
+            self._release_sends(self._row_of(process.node_id))
         super()._note_terminate(process)
         if self.terminated_rows is not None:
             self.terminated_rows[self._row_of(process.node_id)] = True
@@ -196,19 +194,33 @@ class ArraySteppedEngine(SimulationEngine):
                 self.network.stats.rejected_bandwidth - rejected_before
             )
             delivered, delivery_round = planned
+            if self.tracer is not None:
+                outcomes = np.where(delivered, 1, 2)
+                cap = self.network.max_sends_per_round
+                if cap is not None:
+                    outcomes[slots >= cap] = 0
+                kinds = self._SEND_KINDS
+                self._held_sends.extend(
+                    (row, kinds[outcome], src, dest)
+                    for row, outcome, src, dest in zip(
+                        src_rows.tolist(), outcomes.tolist(),
+                        src_ids.tolist(), dest_ids.tolist(),
+                    )
+                )
             if delivered.any():
                 if delivery_round > self.round + 1:
                     payloads_by_row = list(payloads_by_row)
-                self._pending.setdefault(delivery_round, []).append(
-                    (dest_ids[delivered], src_rows[delivered],
-                     payloads_by_row)
-                )
+                self._enqueue(delivery_round, (
+                    dest_ids[delivered], src_rows[delivered],
+                    payloads_by_row,
+                ))
             return
         # Per-message fallback (jitter latency, opaque loss hooks):
         # plan in send order — the loss stream is consumed exactly as
         # the object-stepped engine would.
         network = self.network
         rngs = self.rngs
+        held = self._held_sends if self.tracer is not None else None
         per_round: dict[int, tuple[list[int], list[int]]] = {}
         for src, dest, size, row in zip(
             src_ids.tolist(), dest_ids.tolist(),
@@ -221,7 +233,12 @@ class ArraySteppedEngine(SimulationEngine):
             outcome = network.plan_delivery(message, rngs)
             if outcome is Network.REJECTED:
                 self.stats.sends_rejected += 1
+                if held is not None:
+                    held.append((row, "send_rejected", src, dest))
                 continue
+            if held is not None:
+                kind = "send_lost" if outcome is None else "send"
+                held.append((row, kind, src, dest))
             if outcome is None:
                 continue
             bucket = per_round.get(outcome)
@@ -234,77 +251,83 @@ class ArraySteppedEngine(SimulationEngine):
             table = payloads_by_row
             if delivery_round > self.round + 1:
                 table = list(table)
-            self._pending.setdefault(delivery_round, []).append(
-                (np.array(dests, dtype=np.int64),
-                 np.array(rows, dtype=np.int64), table)
-            )
+            self._enqueue(delivery_round, (
+                np.array(dests, dtype=np.int64),
+                np.array(rows, dtype=np.int64), table,
+            ))
 
-    def _drain_injected(self) -> None:
-        """Queue injected messages as head-of-round delivery chunks.
-
-        The object engine enqueues injections before the round's genuine
-        sends; mirroring that here means prepend-by-construction — the
-        drain runs before ``stepper.step`` appends genuine chunks for the
-        same delivery round, so injected chunks sit first in the list and
-        are absorbed first.  Each injection becomes a singleton chunk (its
-        payload table is just ``[payload]`` indexed by pseudo-row 0).
-        """
-        for delivery_round, message in self.network.take_injected():
-            if delivery_round <= self.round:
-                raise ValueError(
-                    f"injected delivery round {delivery_round} is not in "
-                    f"the future (current round {self.round})"
-                )
-            self._pending.setdefault(delivery_round, []).append(
-                (np.array([message.dest], dtype=np.int64),
-                 np.array([0], dtype=np.int64), [message.payload])
-            )
+    def _release_sends(self, through_row: int | None = None) -> None:
+        """Trace held send events of rows up to ``through_row`` (all)."""
+        held = self._held_sends
+        while held and (through_row is None or held[0][0] <= through_row):
+            __, kind, src, dest = held.popleft()
+            self._trace(kind, src, dest)
 
     def _deliver_due(self) -> None:
-        chunks = self._pending.pop(self.round, None)
-        if chunks:
-            alive = self.alive_rows
-            procs = self.row_procs
-            stats = self.stats
-            changed = self._changed_rows
-            for dest_ids, src_rows, payloads_by_row in chunks:
-                rows = self._rows_of(dest_ids)
-                mask = alive[rows]
-                if not mask.all():
-                    # Paper model: messages to crashed members vanish.
-                    rows = rows[mask]
-                    src_rows = src_rows[mask]
-                count = len(rows)
-                if count == 0:
-                    continue
-                stats.messages_delivered += count
-                # Group arrivals by receiver; the stable sort preserves
-                # each receiver's arrival (= send) order, which is all
-                # that per-message dispatch ordered (receivers never
-                # touch each other's state during delivery).
-                order = np.argsort(rows, kind="stable")
-                rows_sorted = rows[order]
-                src_list = src_rows[order].tolist()
-                starts = np.flatnonzero(
-                    np.r_[True, rows_sorted[1:] != rows_sorted[:-1]]
-                )
-                bounds = np.append(starts, count).tolist()
-                for i, start in enumerate(starts.tolist()):
-                    row = int(rows_sorted[start])
-                    payloads = [
-                        payloads_by_row[r]
-                        for r in src_list[start:bounds[i + 1]]
-                    ]
-                    if procs[row].absorb_payloads(payloads, self.round):
-                        changed.append(row)
-        # Stray scalar sends (Context.send outside the block path) live
-        # on the base heap; drain it too.  No-op when empty.
-        super()._deliver_due()
+        """Deliver this round's queue: block chunks and scalar messages.
+
+        Block chunks are absorbed one receiver at a time (a stable sort
+        by receiver keeps each receiver's arrival order, which is all
+        that per-message dispatch ordered: receivers never touch each
+        other's state during delivery).  Scalar :class:`Message`
+        entries — injected traffic — are singleton absorbs.
+        """
+        entries = self._queue.pop(self.round, None)
+        if not entries:
+            return
+        alive = self.alive_rows
+        procs = self.row_procs
+        stats = self.stats
+        changed = self._changed_rows
+        tracing = self.tracer is not None
+        for entry in entries:
+            if isinstance(entry, Message):
+                row = self._row_of(entry.dest)
+                if not alive[row]:
+                    continue  # paper model: messages to crashed members vanish
+                stats.messages_delivered += 1
+                if tracing:
+                    self._trace("deliver", entry.dest, entry.src)
+                if procs[row].absorb_payloads((entry.payload,), self.round):
+                    changed.append(row)
+                continue
+            dest_ids, src_rows, payloads_by_row = entry
+            rows = self._rows_of(dest_ids)
+            mask = alive[rows]
+            if not mask.all():
+                rows = rows[mask]
+                src_rows = src_rows[mask]
+                dest_ids = dest_ids[mask]
+            count = len(rows)
+            if count == 0:
+                continue
+            stats.messages_delivered += count
+            if tracing:
+                for dest, src in zip(
+                    dest_ids.tolist(), self.row_ids[src_rows].tolist()
+                ):
+                    self._trace("deliver", dest, src)
+            order = np.argsort(rows, kind="stable")
+            rows_sorted = rows[order]
+            src_list = src_rows[order].tolist()
+            starts = np.flatnonzero(
+                np.r_[True, rows_sorted[1:] != rows_sorted[:-1]]
+            )
+            bounds = np.append(starts, count).tolist()
+            for i, start in enumerate(starts.tolist()):
+                row = int(rows_sorted[start])
+                payloads = [
+                    payloads_by_row[r]
+                    for r in src_list[start:bounds[i + 1]]
+                ]
+                if procs[row].absorb_payloads(payloads, self.round):
+                    changed.append(row)
 
     def _step_processes(self) -> None:
         changed = self._changed_rows
         self._changed_rows = []
         self._stepper.step(self, changed)
+        self._release_sends()
 
     # -- run -------------------------------------------------------------
     def run(self, until=None):

@@ -26,7 +26,6 @@ message-level accounting trustworthy.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
@@ -165,7 +164,6 @@ class SimulationEngine:
         max_rounds: int = 100_000,
         tracer: Tracer | None = None,
         metrics: RoundMetrics | None = None,
-        fifo_fast_path: bool = True,
         round_bus: RoundBus | None = None,
     ):
         self.network = network
@@ -198,21 +196,14 @@ class SimulationEngine:
         #: the previous per-round ``list(...)`` copy); invalidated by
         #: add_process.
         self._round_order: tuple[Process, ...] | None = None
-        self._inbox: list[tuple[int, int, Message]] = []  # (round, seq, msg) heap
+        #: Delivery round -> queued entries, in enqueue order.  Every
+        #: entry is queued for a future round and each round's list is
+        #: drained whole, so enqueue order is the ``(round, seq)`` order a
+        #: heap would give — for any latency model, with no reordering.
+        self._queue: dict[int, list[Any]] = {}
         self._seq = 0
         self._scheduled: list[tuple[int, int, Callable[[], None]]] = []
         self._ctx = Context(self)
-        # Constant-latency networks deliver in send order (the delivery
-        # round is the monotonic current round plus a constant), so a
-        # plain FIFO replaces the heap — same order, no log-N scheduling
-        # cost.  ``fifo_fast_path=False`` forces the heap (the
-        # determinism tests pin that both paths behave identically).
-        self._fifo: deque[tuple[int, Message]] | None = (
-            deque()
-            if fifo_fast_path
-            and getattr(network, "fixed_latency", None) is not None
-            else None
-        )
 
     # -- setup ---------------------------------------------------------
     def add_process(self, process: Process) -> None:
@@ -263,25 +254,14 @@ class SimulationEngine:
             self._trace("send_lost", src, dest)
         return True
 
-    def _enqueue(self, delivery_round: int, message: Message) -> None:
-        fifo = self._fifo
-        if fifo is not None:
-            if fifo and delivery_round < fifo[-1][0]:
-                # The network produced an out-of-order delivery round
-                # after all (a custom plan_delivery): migrate to the heap
-                # — appending in FIFO order with fresh sequence numbers
-                # preserves the delivery order exactly.
-                self._fifo = None
-                for queued_round, queued in fifo:
-                    self._seq += 1
-                    heapq.heappush(
-                        self._inbox, (queued_round, self._seq, queued)
-                    )
-            else:
-                fifo.append((delivery_round, message))
-                return
-        self._seq += 1
-        heapq.heappush(self._inbox, (delivery_round, self._seq, message))
+    def _enqueue(self, delivery_round: int, entry: Any) -> None:
+        """Queue ``entry`` for delivery at the start of ``delivery_round``."""
+        if delivery_round <= self.round:
+            raise ValueError(
+                f"delivery round {delivery_round} is not in the future "
+                f"(current round {self.round})"
+            )
+        self._queue.setdefault(delivery_round, []).append(entry)
 
     def _dispatch(self, message: Message) -> None:
         receiver = self.processes.get(message.dest)
@@ -304,23 +284,10 @@ class SimulationEngine:
         in both engines.
         """
         for delivery_round, message in self.network.take_injected():
-            if delivery_round <= self.round:
-                raise ValueError(
-                    f"injected delivery round {delivery_round} is not in "
-                    f"the future (current round {self.round})"
-                )
             self._enqueue(delivery_round, message)
 
     def _deliver_due(self) -> None:
-        current = self.round
-        # Re-read self._fifo each step: a send from inside on_message may
-        # migrate the queue to the heap mid-drain (see _enqueue).
-        while (fifo := self._fifo) is not None:
-            if not fifo or fifo[0][0] > current:
-                return
-            self._dispatch(fifo.popleft()[1])
-        while self._inbox and self._inbox[0][0] <= self.round:
-            __, __, message = heapq.heappop(self._inbox)
+        for message in self._queue.pop(self.round, ()):
             self._dispatch(message)
 
     def _apply_failures(self) -> None:

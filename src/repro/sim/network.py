@@ -158,9 +158,9 @@ class Network:
         """``latency_rounds`` when delivery delay is deterministic.
 
         ``None`` for models that override :meth:`latency` (jitter,
-        multihop): their delay varies per message.  A fixed latency lets
-        the engine schedule deliveries on a FIFO queue instead of a heap
-        — with monotonic send rounds, arrival order equals send order.
+        multihop): their delay varies per message.  A fixed latency is
+        the default uniform delay of :meth:`block_latency_rounds`, which
+        lets the array engine plan a whole send block at once.
         """
         if type(self).latency is Network.latency:
             return self.latency_rounds

@@ -6,15 +6,15 @@ deliveries, crashes, recoveries, terminations — as typed events.  Useful
 for debugging protocol behaviour ("why did member 17 miss subtree 0*?")
 and for the round-by-round summaries the examples print.
 
-Tracing is off by default and costs one predicate per event when on;
-``max_events`` caps memory for long runs (counters keep counting after
-the cap).
+Tracing is off by default and costs one ``record`` call per event when
+on; ``max_events`` caps memory for long runs (counters keep counting
+after the cap).  Both round engines emit the same events in the same
+order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -39,32 +39,21 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records with counters and filters.
+    """Collects :class:`TraceEvent` records with per-kind counters."""
 
-    ``predicate`` (if given) decides which events are *stored*; all events
-    are *counted* regardless.
-    """
-
-    def __init__(
-        self,
-        max_events: int = 100_000,
-        predicate: Callable[[TraceEvent], bool] | None = None,
-    ):
+    def __init__(self, max_events: int = 100_000):
         if max_events < 0:
             raise ValueError("max_events must be non-negative")
         self.max_events = max_events
-        self.predicate = predicate
         self.events: list[TraceEvent] = []
         self.counts: Counter = Counter()
-        #: Events the predicate kept but the cap turned away.
+        #: Events the cap turned away.
         self.dropped_events = 0
 
     def record(self, event: TraceEvent) -> None:
         if event.kind not in KINDS:
             raise ValueError(f"unknown trace event kind {event.kind!r}")
         self.counts[event.kind] += 1
-        if self.predicate is not None and not self.predicate(event):
-            return
         if len(self.events) < self.max_events:
             self.events.append(event)
         else:

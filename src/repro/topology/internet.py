@@ -88,6 +88,14 @@ class DomainNetwork(Network):
         ):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value}")
+        for name, value in (
+            ("lan_latency", lan_latency), ("site_latency", site_latency),
+            ("wan_latency", wan_latency),
+        ):
+            if value < 1:
+                raise ValueError(
+                    f"{name} must be at least one round, got {value}"
+                )
         super().__init__(**kwargs)
         self.group = group
         self.lan_loss = lan_loss

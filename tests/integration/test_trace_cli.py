@@ -112,40 +112,88 @@ STATS_CONFIGS = {
     "flood": with_params(n=64, protocol="flood", seed=0),
     "capped": with_params(n=64, max_sends_per_round=1, seed=1),
     "partl": with_params(n=64, partl=0.9, seed=0),
+    "view_size": with_params(n=64, view_size=20, seed=2),
+    "start_spread": with_params(n=64, start_spread=4, seed=3),
 }
+
+#: The configs with an array stepper (every one but flood).
+ARRAY_CONFIGS = [
+    name for name, config in STATS_CONFIGS.items()
+    if config.protocol == "hierarchical_gossip"
+]
+
+
+def _full_run(config):
+    """One full-telemetry run, reduced to what the tests compare."""
+    engines = []
+    original = SimulationEngine.run
+
+    def spy(engine, *args, **kwargs):
+        engines.append(type(engine))
+        return original(engine, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SimulationEngine, "run", spy)
+        result, telemetry = _traced(config)
+    buffer = io.StringIO()
+    write_trace(telemetry, buffer)
+    return {
+        "engine": engines[0],
+        "derived": {f: getattr(result.telemetry, f) for f in ENGINE_COUNTERS},
+        "traced": {f: telemetry.tracer.counts[kind]
+                   for f, kind in ENGINE_COUNTERS.items()},
+        # The header differs only in the config's ``engine`` key.
+        "lines": buffer.getvalue().splitlines()[1:],
+        "samples": telemetry.metrics.samples,
+        "summary": telemetry.summary(),
+    }
 
 
 @pytest.fixture(scope="module")
-def stats_counts():
-    """Per config: (stats-derived summary counters, Tracer counts)."""
-    counts = {}
-    for name, config in STATS_CONFIGS.items():
-        result, telemetry = _traced(config)
-        counts[name] = (
-            {f: getattr(result.telemetry, f) for f in ENGINE_COUNTERS},
-            {f: telemetry.tracer.counts[kind]
-             for f, kind in ENGINE_COUNTERS.items()},
-        )
-    return counts
+def full_runs():
+    """Per config: the default-engine run and the object-engine run."""
+    return {
+        name: {
+            "auto": _full_run(config),
+            "object": _full_run(dataclasses.replace(config, engine="object")),
+        }
+        for name, config in STATS_CONFIGS.items()
+    }
 
 
 class TestEngineCountsFromStats:
     """The summary's engine counters come from the engine's own stats;
-    on the object engine they must equal what a full Tracer counted."""
+    on either engine they must equal what a full Tracer counted."""
 
     @pytest.mark.parametrize("name", STATS_CONFIGS)
-    def test_stats_counters_equal_tracer_counts(self, name, stats_counts):
-        derived, traced = stats_counts[name]
-        assert derived == traced
+    def test_stats_counters_equal_tracer_counts(self, name, full_runs):
+        for run in full_runs[name].values():
+            assert run["derived"] == run["traced"]
 
-    def test_capped_and_lossy_cases_are_exercised(self, stats_counts):
+    def test_capped_and_lossy_cases_are_exercised(self, full_runs):
         # Guard the parametrization above: it must cover rejected and
         # lost sends, crashes and recoveries, not only the happy path.
         seen = {
-            f for derived, _ in stats_counts.values()
-            for f, count in derived.items() if count
+            f for runs in full_runs.values()
+            for f, count in runs["auto"]["derived"].items() if count
         }
         assert seen == set(ENGINE_COUNTERS)
+
+
+class TestFullTelemetryOnArrayEngine:
+    """Watching a run does not pick its engine, nor change its output."""
+
+    @pytest.mark.parametrize("name", ARRAY_CONFIGS)
+    def test_selects_array_engine(self, name, full_runs):
+        assert full_runs[name]["auto"]["engine"] is ArraySteppedEngine
+        assert full_runs[name]["object"]["engine"] is SimulationEngine
+
+    @pytest.mark.parametrize("name", ARRAY_CONFIGS)
+    def test_trace_equals_object_engine(self, name, full_runs):
+        array, on_object = full_runs[name]["auto"], full_runs[name]["object"]
+        assert array["lines"] == on_object["lines"]
+        assert array["samples"] == on_object["samples"]
+        assert array["summary"] == on_object["summary"]
 
 
 class TestCompactArrayEngine:

@@ -237,18 +237,6 @@ class TestPlanDeliveryBlock:
 
 
 class TestArrayEngineGuards:
-    def test_tracer_rejected(self):
-        from repro.sim.array_engine import ArraySteppedEngine
-        from repro.sim.trace import Tracer
-
-        with pytest.raises(ValueError, match="trace"):
-            ArraySteppedEngine(
-                stepper=object(),
-                network=LossyNetwork(ucastl=0.0),
-                rngs=RngRegistry(seed=0),
-                tracer=Tracer(),
-            )
-
     def test_unsupported_reasons(self):
         from repro.core.array_stepper import unsupported_reason
         from repro.core.hierarchical_gossip import GossipParams

@@ -115,6 +115,23 @@ class TestMessaging:
         engine.run()
         assert b.received == []
 
+    def test_delivery_round_must_be_in_the_future(self):
+        # A latency-0 send would land in a round already drained.
+        class Instant(Network):
+            def latency(self, message, rng):
+                return 0
+
+        engine = _engine(network=Instant())
+        engine.add_processes([Echo(0, target=1, rounds=2), Echo(1)])
+        with pytest.raises(ValueError, match="not in the future"):
+            engine.run()
+        engine.round = 3
+        for delivery_round in (2, 3):
+            with pytest.raises(ValueError, match="not in the future"):
+                engine._enqueue(delivery_round, "entry")
+        engine._enqueue(4, "entry")
+        assert engine._queue[4] == ["entry"]
+
     def test_send_outside_callback_asserts(self):
         engine = _engine()
         engine.add_process(Echo(0))

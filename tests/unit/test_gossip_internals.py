@@ -124,7 +124,7 @@ class TestBuffering:
         process = _process(7, early_bump=True)
         future_state = F.over({6: 6.0, 5: 5.0})
         process.on_message(
-            None, self._msg(GossipValue(2, SubtreeId(2, 1), future_state))
+            FakeCtx(), self._msg(GossipValue(2, SubtreeId(2, 1), future_state))
         )
         assert SubtreeId(2, 1) in process._future[2]
         # complete phase 1
@@ -141,12 +141,12 @@ class TestBuffering:
         process.known[3] = F.lift(3, 3.0)
         process.known[8] = F.lift(8, 8.0)
         process.on_message(
-            None,
+            FakeCtx(),
             self._msg(GossipValue(2, SubtreeId(2, 1), F.over({6: 6.0,
                                                               5: 5.0}))),
         )
         process.on_message(
-            None,
+            FakeCtx(),
             self._msg(GossipValue(3, SubtreeId(1, 1), F.over({2: 2.0,
                                                               4: 4.0,
                                                               1: 1.0}))),
@@ -169,7 +169,7 @@ class TestBuffering:
         assert process.phase == 2
         # sibling 01 aggregate, but covering only one of its two members
         process.on_message(
-            None, self._msg(GossipValue(2, SubtreeId(2, 1),
+            FakeCtx(), self._msg(GossipValue(2, SubtreeId(2, 1),
                                         F.over({6: 6.0})))
         )
         process._maybe_advance(ctx)

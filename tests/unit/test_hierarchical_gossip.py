@@ -1,5 +1,7 @@
 """Unit tests for the Hierarchical Gossiping protocol process."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.aggregates import AverageAggregate, SumAggregate
@@ -15,6 +17,9 @@ from repro.core.messages import GossipBatch, GossipValue
 from repro.sim.engine import SimulationEngine
 from repro.sim.network import LossyNetwork, Network
 from repro.sim.rng import RngRegistry
+
+#: The part of the Context a receive reads without push-pull: the round.
+_CTX = SimpleNamespace(round=0)
 
 
 def _figure1_world(function=None):
@@ -176,7 +181,7 @@ class TestMessageHandling:
         class FakeMessage:
             payload = stale
 
-        process.on_message(None, FakeMessage())
+        process.on_message(_CTX, FakeMessage())
         assert 3 not in process.known
 
     def test_future_phase_buffered(self):
@@ -188,7 +193,7 @@ class TestMessageHandling:
         class FakeMessage:
             payload = future
 
-        process.on_message(None, FakeMessage())
+        process.on_message(_CTX, FakeMessage())
         assert process._future[3][SubtreeId(1, 1)] is state
 
     def test_current_phase_accepted(self):
@@ -199,7 +204,7 @@ class TestMessageHandling:
         class FakeMessage:
             payload = GossipValue(1, 3, vote)
 
-        process.on_message(None, FakeMessage())
+        process.on_message(_CTX, FakeMessage())
         assert process.known[3] is vote
 
     def test_batch_accepted(self):
@@ -211,7 +216,7 @@ class TestMessageHandling:
         class FakeMessage:
             payload = batch
 
-        process.on_message(None, FakeMessage())
+        process.on_message(_CTX, FakeMessage())
         assert set(process.known) == {7, 3, 8}
 
     def test_coverage_preference_upgrades(self):
@@ -227,11 +232,11 @@ class TestMessageHandling:
             def __init__(self, payload):
                 self.payload = payload
 
-        process.on_message(None, Msg(GossipValue(2, key, small)))
-        process.on_message(None, Msg(GossipValue(2, key, big)))
+        process.on_message(_CTX, Msg(GossipValue(2, key, small)))
+        process.on_message(_CTX, Msg(GossipValue(2, key, big)))
         assert process.known[key] is big
         # And never downgrades:
-        process.on_message(None, Msg(GossipValue(2, key, small)))
+        process.on_message(_CTX, Msg(GossipValue(2, key, small)))
         assert process.known[key] is big
 
     def test_first_wins_ablation(self):
@@ -247,8 +252,8 @@ class TestMessageHandling:
             def __init__(self, payload):
                 self.payload = payload
 
-        process.on_message(None, Msg(GossipValue(2, key, small)))
-        process.on_message(None, Msg(GossipValue(2, key, big)))
+        process.on_message(_CTX, Msg(GossipValue(2, key, small)))
+        process.on_message(_CTX, Msg(GossipValue(2, key, big)))
         assert process.known[key] is small
 
     def test_unknown_payload_ignored(self):
@@ -258,7 +263,7 @@ class TestMessageHandling:
         class FakeMessage:
             payload = "garbage"
 
-        process.on_message(None, FakeMessage())
+        process.on_message(_CTX, FakeMessage())
         assert set(process.known) == {7}
 
 

@@ -125,3 +125,11 @@ class TestDomainNetwork:
     def test_loss_validated(self):
         with pytest.raises(ValueError):
             DomainNetwork(self._group(), wan_loss=1.5)
+
+    @pytest.mark.parametrize(
+        "name", ["lan_latency", "site_latency", "wan_latency"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_latency_validated(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            DomainNetwork(self._group(), **{name: value})
